@@ -19,24 +19,32 @@
 //
 // Indexes follow the storage layer's copy-on-write discipline:
 //
-//   - An Index is immutable. A base index is a bucket directory from probe
-//     key (relation.Tuple.KeyOn over the index columns) to tuples.
+//   - An Index is immutable. Its tuples live in one B+tree (tree.go) whose
+//     entries are ordered by (key, canonical tuple key); a hash index keys
+//     its tree by the 8-byte big-endian hash of the probe key
+//     (relation.Tuple.KeyOn over the index columns) followed by the probe
+//     key, so a probe is a scan of adjacent entries. When the matches lie
+//     in one leaf the probe returns the leaf's sub-slice, capped so that a
+//     caller's append copies, and allocates nothing beyond its key.
 //   - Each committed transaction's net (ins, del) delta derives a successor
-//     index via Apply, which pushes an O(delta) layer over the parent index
-//     rather than copying the directory. Probe walks the layer chain
-//     newest-first, shadowing deleted tuple keys; the chain is folded back
-//     into a base directory when it exceeds maxDepth layers or when the
-//     accumulated layer entries reach a fraction of the indexed size, so
-//     maintenance is amortized O(delta) per commit and probes stay
-//     O(matches + depth).
+//     index via Apply, which path-copies only the leaves the delta touches
+//     and their ancestors: O(delta log n) per commit, and no commit ever
+//     rebuilds a whole index. A per-Apply ownership token lets a
+//     multi-tuple delta copy each node at most once; once Apply returns the
+//     tree is frozen. Deletes rebalance underflowing nodes by merging with
+//     or sharing entries with a sibling, so the height stays O(log n) under
+//     insert/delete churn.
 //   - The storage layer derives successor indexes while it seals the
 //     committed relation instances and publishes them inside the same
 //     atomic Snapshot swap, so any snapshot's indexes exactly describe its
-//     sealed instances and readers never lock. Bulk loads and commits
-//     recorded without tuple-level deltas fall back to Rebuild (O(n)).
+//     sealed instances and readers never lock. Bulk loads, index
+//     definitions, recovery and commits recorded without tuple-level
+//     deltas fall back to Build/Rebuild, which sort the entries (radix
+//     passes over pointer-free hash/position pairs for hash indexes) and
+//     build the tree bottom-up.
 //
-// Divergent chains may share one base (storage.Database.Clone shares
-// snapshots), so layer maps and bucket slices are never mutated in place.
+// Divergent derivations may share nodes (storage.Database.Clone shares
+// snapshots); a frozen node is never mutated, so this needs no extra work.
 //
 // # Probe recording and fallback rules
 //
@@ -68,14 +76,12 @@
 // Ordered (range) indexes extend the same discipline to comparison
 // predicates — the guard shapes of the paper's differential enforcement
 // programs ("alarm if any stock fell below threshold"). An Ordered index
-// keeps sorted runs of order-preserving key encodings
+// keys the same B+tree by order-preserving key encodings
 // (value.AppendOrderedKey via relation.Tuple.OrderedKeyOn; attribute order
-// is the sort order), layered exactly like the hash index: Apply pushes one
-// committed net delta as an O(delta log delta) sorted run plus a delete
-// shadow, Range walks the chain newest-first with binary searches, and the
-// chain folds back into one sorted base under the same amortization bounds.
-// Snapshots publish ordered indexes in the same atomic swap as hash
-// indexes, through the shared Set.
+// is the sort order), so Range is a scan of the entries in [Lo, Hi) and
+// Apply derives successors exactly as for hash indexes. Snapshots publish
+// ordered indexes in the same atomic swap as hash indexes, through the
+// shared Set.
 //
 //   - select(R, attr < const ∧ ...) — and <=, >, >=, between-style
 //     conjunctions, also when they reach the evaluator negated, as

@@ -1,24 +1,15 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/relation"
 	"repro/internal/value"
-)
-
-// Layering bounds. A chain of delta layers keeps Apply O(delta), but every
-// layer adds one map lookup per probe, so the chain is folded back into a
-// single bucket directory when it grows too deep or when the accumulated
-// layer entries rival the base size (the classic doubling argument: an O(n)
-// compaction is paid for by Ω(n) preceding O(delta) applies).
-const (
-	maxDepth      = 8
-	compactSlack  = 16
-	compactDivide = 2
 )
 
 // Sig returns the canonical signature of an index column set, e.g. "0,2".
@@ -45,91 +36,122 @@ func KeyVals(vals []value.Value) string {
 	return string(buf)
 }
 
+// hashSeed seeds the probe-key hash of every hash index in the process.
+// Hash indexes are never persisted, so the seed need not be stable.
+var hashSeed = maphash.MakeSeed()
+
 // Index is an immutable secondary hash index over a set of column positions
 // of one relation instance: probe key (KeyOn the index columns) to the
 // tuples carrying it. Immutability is what lets a database snapshot publish
 // its indexes to any number of concurrent readers without locking.
 //
-// An index is either a base directory (buckets) or a delta layer over a
-// parent index, recording the net inserted and net deleted tuples of one
-// committed transaction grouped by probe key. Apply pushes a layer in
-// O(delta); Probe walks the chain newest-first, shadowing deleted tuple
-// keys. The chain is compacted into a fresh base directory when it exceeds
-// maxDepth or when the accumulated layer entries reach a fraction of the
-// indexed size, so probes stay O(matches + depth) and maintenance stays
-// amortized O(delta) per commit.
+// The tuples live in a copy-on-write B+tree keyed by the 8-byte big-endian
+// hash of the probe key followed by the probe key itself, so one probe is a
+// scan of adjacent entries and Apply copies only the nodes a delta touches.
 type Index struct {
 	cols []int
-
-	// Base directory (parent == nil).
-	buckets map[string][]relation.Tuple
-
-	// Delta layer (parent != nil): net inserts by probe key, net deletes as
-	// probe key -> deleted tuple keys.
-	parent *Index
-	ins    map[string][]relation.Tuple
-	del    map[string]map[string]bool
-
-	depth   int
-	size    int // net number of indexed tuples
-	layered int // ins+del entries accumulated in the layer chain
+	t    tree
 }
 
-// Build constructs a base index over the relation's current tuples; O(n).
-// cols must be valid positions in the relation's schema.
-func Build(r *relation.Relation, cols []int) *Index {
-	buckets := make(map[string][]relation.Tuple)
-	_ = r.ForEach(func(t relation.Tuple) error {
-		k := t.KeyOn(cols)
-		buckets[k] = append(buckets[k], t)
-		return nil
-	})
-	return &Index{cols: append([]int(nil), cols...), buckets: buckets, size: r.Len()}
+// appendKey appends t's tree key: the probe-key hash, then the probe key.
+func (x *Index) appendKey(buf []byte, t relation.Tuple) []byte {
+	return hashKey(t.AppendKeyOn(append(buf[:0], make([]byte, 8)...), x.cols))
+}
+
+// hashKey fills the 8 bytes reserved at the start of buf with the
+// big-endian hash of the probe key that follows them.
+func hashKey(buf []byte) []byte {
+	binary.BigEndian.PutUint64(buf, maphash.Bytes(hashSeed, buf[8:]))
+	return buf
+}
+
+// Build constructs an index over the relation's current tuples, bottom-up
+// from entries radix-sorted by probe-key hash; O(n) apart from ordering the
+// tuples that share a probe key. cols must be valid positions in the
+// relation's schema.
+func Build(r *relation.Relation, cols []int) *Index { return buildHash(gather(r), cols) }
+
+func buildHash(in rows, cols []int) *Index {
+	x := &Index{cols: append([]int(nil), cols...)}
+	n := len(in.tks)
+	// One pass encodes every probe key into a pointer-free arena (tuple
+	// i's spans bounds[i]:bounds[i+1]) and pairs its hash with its
+	// position: the hash in the high 32 bits, the position in the low 32.
+	// Sorting these pairs costs the collector nothing, and no key is
+	// encoded twice.
+	order := make([]uint64, n)
+	bounds := make([]int, n+1)
+	arena := make([]byte, 0, 16*len(cols)*n)
+	for i, t := range in.tups {
+		arena = t.AppendKeyOn(arena, cols)
+		bounds[i+1] = len(arena)
+		order[i] = maphash.Bytes(hashSeed, arena[bounds[i]:])>>32<<32 | uint64(i)
+	}
+	radixSortHigh32(order)
+	perm := make([]int32, n)
+	keyOf := make([]string, n)
+	var buf []byte
+	for i, o := range order {
+		p := int32(uint32(o))
+		perm[i] = p
+		buf = hashKey(append(append(buf[:0], make([]byte, 8)...), arena[bounds[p]:bounds[p+1]]...))
+		if i > 0 && keyOf[perm[i-1]] == string(buf) {
+			keyOf[p] = keyOf[perm[i-1]]
+		} else {
+			keyOf[p] = string(buf)
+		}
+	}
+	// The radix pass orders entries whose hashes share their high 32 bits
+	// only by position.
+	x.t = buildSorted(in, keyOf, perm, func(a, b string) bool { return a[:4] == b[:4] })
+	return x
+}
+
+// radixSortHigh32 sorts a by its high 32 bits, stably, in four byte passes.
+func radixSortHigh32(a []uint64) {
+	src, dst := a, make([]uint64, len(a))
+	for shift := 32; shift < 64; shift += 8 {
+		var count [256]int
+		for _, v := range src {
+			count[byte(v>>shift)]++
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, v := range src {
+			b := byte(v >> shift)
+			dst[count[b]] = v
+			count[b]++
+		}
+		src, dst = dst, src
+	}
 }
 
 // Cols returns the indexed column positions. Callers must not mutate the
 // returned slice.
 func (x *Index) Cols() []int { return x.cols }
 
-// Len returns the net number of indexed tuples.
-func (x *Index) Len() int { return x.size }
-
-// Depth returns the number of delta layers above the base directory; 0 for
-// a freshly built or just-compacted index. Exposed for tests and metrics.
-func (x *Index) Depth() int { return x.depth }
+// Len returns the number of indexed tuples.
+func (x *Index) Len() int { return x.t.size }
 
 // Probe returns the tuples whose index columns encode to key. The returned
-// slice is shared with the index; callers must not mutate it or the tuples.
+// slice may be shared with the index; callers must not mutate its elements
+// or the tuples, though appending to it never changes the index.
 func (x *Index) Probe(key string) []relation.Tuple {
-	if x.parent == nil {
-		return x.buckets[key]
-	}
-	var out []relation.Tuple
-	var deleted map[string]bool
-	for n := x; n != nil; n = n.parent {
-		if n.parent == nil {
-			for _, t := range n.buckets[key] {
-				if !deleted[t.Key()] {
-					out = append(out, t)
-				}
-			}
-			break
-		}
-		for _, t := range n.ins[key] {
-			if !deleted[t.Key()] {
-				out = append(out, t)
-			}
-		}
-		if dk := n.del[key]; len(dk) > 0 {
-			if deleted == nil {
-				deleted = make(map[string]bool, len(dk))
-			}
-			for k := range dk {
-				deleted[k] = true
-			}
-		}
-	}
-	return out
+	// One allocation holds the tree key and, with a trailing 0x00, the
+	// string right after it in byte order: [key, key+0x00) holds exactly
+	// the key.
+	var sb strings.Builder
+	sb.Grow(8 + len(key) + 1)
+	var h [8]byte
+	binary.BigEndian.PutUint64(h[:], maphash.String(hashSeed, key))
+	sb.Write(h[:])
+	sb.WriteString(key)
+	sb.WriteByte(0)
+	hi := sb.String()
+	return x.t.scan(hi[:len(hi)-1], hi)
 }
 
 // ProbeTuples returns the tuples matching the projection of t onto the
@@ -141,92 +163,14 @@ func (x *Index) ProbeTuples(t relation.Tuple) []relation.Tuple {
 // Apply derives the successor index after a committed net delta: ins holds
 // tuples absent from the indexed instance, del tuples present in it (the
 // net-differential invariant the transaction overlay maintains). Either may
-// be nil or empty. The receiver is unchanged; the derivation is O(delta)
-// except when it triggers an amortized compaction.
+// be nil or empty. The receiver is unchanged; the derivation copies only the
+// tree nodes on the paths of the delta's entries, O(delta log n).
 func (x *Index) Apply(ins, del *relation.Relation) *Index {
-	insN, delN := 0, 0
-	if ins != nil {
-		insN = ins.Len()
-	}
-	if del != nil {
-		delN = del.Len()
-	}
-	if insN == 0 && delN == 0 {
+	t, changed := x.t.apply(ins, del, x.appendKey)
+	if !changed {
 		return x
 	}
-	layer := &Index{
-		cols:    x.cols,
-		parent:  x,
-		depth:   x.depth + 1,
-		size:    x.size + insN - delN,
-		layered: x.layered + insN + delN,
-	}
-	if insN > 0 {
-		layer.ins = make(map[string][]relation.Tuple, insN)
-		_ = ins.ForEach(func(t relation.Tuple) error {
-			k := t.KeyOn(x.cols)
-			layer.ins[k] = append(layer.ins[k], t)
-			return nil
-		})
-	}
-	if delN > 0 {
-		layer.del = make(map[string]map[string]bool, delN)
-		_ = del.ForEachKey(func(tk string, t relation.Tuple) error {
-			k := t.KeyOn(x.cols)
-			m := layer.del[k]
-			if m == nil {
-				m = make(map[string]bool, 1)
-				layer.del[k] = m
-			}
-			m[tk] = true
-			return nil
-		})
-	}
-	if layer.depth > maxDepth || layer.layered > layer.size/compactDivide+compactSlack {
-		return layer.compact()
-	}
-	return layer
-}
-
-// compact folds the layer chain into a fresh base directory. Shared bucket
-// slices are never mutated (divergent chains may hang off one base after
-// Database.Clone), so every modified bucket is rebuilt into new backing.
-func (x *Index) compact() *Index {
-	var layers []*Index
-	n := x
-	for n.parent != nil {
-		layers = append(layers, n)
-		n = n.parent
-	}
-	buckets := make(map[string][]relation.Tuple, len(n.buckets))
-	for k, v := range n.buckets {
-		buckets[k] = v
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		ly := layers[i]
-		for key, dels := range ly.del {
-			old := buckets[key]
-			nb := make([]relation.Tuple, 0, len(old))
-			for _, t := range old {
-				if !dels[t.Key()] {
-					nb = append(nb, t)
-				}
-			}
-			if len(nb) == 0 {
-				delete(buckets, key)
-			} else {
-				buckets[key] = nb
-			}
-		}
-		for key, ts := range ly.ins {
-			old := buckets[key]
-			nb := make([]relation.Tuple, 0, len(old)+len(ts))
-			nb = append(nb, old...)
-			nb = append(nb, ts...)
-			buckets[key] = nb
-		}
-	}
-	return &Index{cols: x.cols, buckets: buckets, size: x.size}
+	return &Index{cols: x.cols, t: t}
 }
 
 // Set is the immutable collection of indexes defined on one relation — hash
@@ -415,63 +359,22 @@ func (s *Set) WithOrdered(x *Ordered) *Set {
 }
 
 // Apply derives the successor set after a committed net delta, applying the
-// delta to every index, hash and ordered; O(indexes × delta).
+// delta to every index, hash and ordered; O(indexes × delta × log n).
 func (s *Set) Apply(ins, del *relation.Relation) *Set {
-	n, _ := s.ApplyN(ins, del)
-	return n
-}
-
-// ApplyN is Apply reporting how many of the derived indexes compacted while
-// absorbing the delta (their layer stack folded back to a base run instead
-// of growing) — the signal the storage layer counts for the
-// repro_index_compactions_total metric. A successor whose depth did not
-// exceed its predecessor's is a compaction: Apply otherwise always stacks
-// one layer, and an untouched index is returned pointer-identical.
-func (s *Set) ApplyN(ins, del *relation.Relation) (*Set, int) {
 	if s.Len() == 0 {
-		return s, 0
+		return s
 	}
-	compacted := 0
 	n := &Set{by: make(map[string]*Index, len(s.by))}
 	for sig, x := range s.by {
-		nx := x.Apply(ins, del)
-		if nx != x && nx.depth <= x.depth {
-			compacted++
-		}
-		n.by[sig] = nx
+		n.by[sig] = x.Apply(ins, del)
 	}
 	if len(s.ord) > 0 {
 		n.ord = make(map[string]*Ordered, len(s.ord))
 		for sig, x := range s.ord {
-			nx := x.Apply(ins, del)
-			if nx != x && nx.depth <= x.depth {
-				compacted++
-			}
-			n.ord[sig] = nx
+			n.ord[sig] = x.Apply(ins, del)
 		}
 	}
-	return n, compacted
-}
-
-// MaxDepth returns the deepest layer stack across the set's indexes — a
-// health signal (amortized compaction bounds it) surfaced as the
-// repro_index_max_depth gauge. Nil-receiver-safe.
-func (s *Set) MaxDepth() int {
-	if s == nil {
-		return 0
-	}
-	max := 0
-	for _, x := range s.by {
-		if x.depth > max {
-			max = x.depth
-		}
-	}
-	for _, x := range s.ord {
-		if x.depth > max {
-			max = x.depth
-		}
-	}
-	return max
+	return n
 }
 
 // Rebuild reconstructs every index in the set from the given relation
@@ -481,14 +384,15 @@ func (s *Set) Rebuild(r *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
+	in := gather(r)
 	n := &Set{by: make(map[string]*Index, len(s.by))}
 	for sig, x := range s.by {
-		n.by[sig] = Build(r, x.cols)
+		n.by[sig] = buildHash(in, x.cols)
 	}
 	if len(s.ord) > 0 {
 		n.ord = make(map[string]*Ordered, len(s.ord))
 		for sig, x := range s.ord {
-			n.ord[sig] = BuildOrdered(r, x.cols)
+			n.ord[sig] = buildOrdered(in, x.cols)
 		}
 	}
 	return n

@@ -68,8 +68,7 @@ func TestApplyLayersNetDeltas(t *testing.T) {
 		t.Fatalf("base mutated: probe parent=10: %v", got)
 	}
 
-	// Commit 2: re-insert the deleted tuple; the newest layer must win over
-	// the older delete.
+	// Commit 2: re-insert the deleted tuple; it must be visible again.
 	x2 := x1.Apply(relation.MustFromTuples(s, row(1, 10, 5)), nil)
 	if got := probeIDs(x2, 10); !reflect.DeepEqual(got, []int64{1, 2, 4}) {
 		t.Fatalf("after commit 2, probe parent=10: %v", got)
@@ -96,32 +95,29 @@ func TestApplyEmptyDeltaReturnsReceiver(t *testing.T) {
 	}
 }
 
-func TestCompactionBoundsDepth(t *testing.T) {
+func TestApplyKeepsTreeInvariants(t *testing.T) {
 	s := childSchema()
 	var tuples []relation.Tuple
 	for i := int64(0); i < 64; i++ {
 		tuples = append(tuples, row(i, i%8, 1))
 	}
 	x := Build(relation.MustFromTuples(s, tuples...), []int{1})
-	for i := int64(100); i < 200; i++ {
+	checkTree(t, x.t, x.appendKey)
+	// Enough single-tuple commits to split leaves and grow an inner level.
+	for i := int64(100); i < 4*maxEntries+100; i++ {
 		x = x.Apply(relation.MustFromTuples(s, row(i, i%8, 1)), nil)
-		if x.Depth() > maxDepth {
-			t.Fatalf("depth %d exceeds maxDepth %d", x.Depth(), maxDepth)
-		}
+		checkTree(t, x.t, x.appendKey)
 	}
-	if x.Len() != 164 {
-		t.Fatalf("Len = %d, want 164", x.Len())
+	if x.Len() != 64+4*maxEntries {
+		t.Fatalf("Len = %d, want %d", x.Len(), 64+4*maxEntries)
+	}
+	if x.t.root.leaf {
+		t.Fatal("the tree never grew past one leaf")
 	}
 	// Every parent key must still resolve to the right cardinality.
 	for p := int64(0); p < 8; p++ {
-		got := probeIDs(x, p)
-		// 100..199 is 12 full residue cycles plus the residues 4..7.
-		want := 64/8 + 100/8
-		if p >= 100%8 {
-			want++
-		}
-		if len(got) != want {
-			t.Fatalf("parent %d: %d matches, want %d", p, len(got), want)
+		if got, want := len(probeIDs(x, p)), 8+4*maxEntries/8; got != want {
+			t.Fatalf("parent %d: %d matches, want %d", p, got, want)
 		}
 	}
 }
@@ -129,26 +125,31 @@ func TestCompactionBoundsDepth(t *testing.T) {
 func TestDivergentChainsShareBaseSafely(t *testing.T) {
 	s := childSchema()
 	base := Build(relation.MustFromTuples(s, row(1, 10, 5), row(2, 10, 7)), []int{1})
-	// Two divergent histories off the same base (Database.Clone shape); both
-	// compacted so any shared-slice mutation would corrupt the sibling.
+	// Two divergent histories off the same base (Database.Clone shape), long
+	// enough to split the shared leaf, so any in-place mutation of a frozen
+	// node would show up in the sibling history.
+	const n = 2 * maxEntries
 	a, b := base, base
-	for i := int64(0); i <= maxDepth; i++ {
-		a = a.Apply(relation.MustFromTuples(s, row(100+i, 10, 1)), nil)
-		b = b.Apply(relation.MustFromTuples(s, row(200+i, 10, 1)), nil)
+	for i := int64(0); i < n; i++ {
+		a = a.Apply(relation.MustFromTuples(s, row(1000+i, 10, 1)), nil)
+		b = b.Apply(relation.MustFromTuples(s, row(2000+i, 10, 1)), nil)
 	}
 	ai, bi := probeIDs(a, 10), probeIDs(b, 10)
-	if len(ai) != 2+maxDepth+1 || len(bi) != 2+maxDepth+1 {
+	if len(ai) != 2+n || len(bi) != 2+n {
 		t.Fatalf("divergent probe sizes: %d, %d", len(ai), len(bi))
 	}
 	for _, id := range ai {
-		if id >= 200 {
+		if id >= 2000 {
 			t.Fatalf("history A sees history B's tuple %d", id)
 		}
 	}
 	for _, id := range bi {
-		if id >= 100 && id < 200 {
+		if id >= 1000 && id < 2000 {
 			t.Fatalf("history B sees history A's tuple %d", id)
 		}
+	}
+	if got := probeIDs(base, 10); !reflect.DeepEqual(got, []int64{1, 2}) {
+		t.Fatalf("base mutated: %v", got)
 	}
 }
 

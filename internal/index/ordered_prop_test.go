@@ -14,8 +14,8 @@ import (
 // The ordered-index property tests drive Apply/Range across commit
 // generations against a sort-the-slice model, in the style of
 // relation/prop_test.go: the model is a plain slice of tuples re-sorted by
-// ordered key for every query, so any divergence in layering, shadowing or
-// compaction shows up as a membership or count mismatch.
+// ordered key for every query, so any divergence in node splits, merges or
+// copy-on-write sharing shows up as a membership or count mismatch.
 
 func ordPropSchema() *schema.Relation {
 	return schema.MustRelation("s",
@@ -70,6 +70,7 @@ func verifyOrdered(t *testing.T, x *Ordered, m *ordModel, rng *rand.Rand) {
 	if x.Len() != len(m.tuples) {
 		t.Fatalf("Len = %d, model has %d", x.Len(), len(m.tuples))
 	}
+	checkTree(t, x.t, x.appendKey)
 	check := func(kr KeyRange) {
 		t.Helper()
 		var got []string
@@ -103,8 +104,8 @@ func verifyOrdered(t *testing.T, x *Ordered, m *ordModel, rng *rand.Rand) {
 }
 
 // TestOrderedAgainstSortedSliceModel drives random commit generations —
-// net insert/delete deltas pushed with Apply, forced compactions, divergent
-// chains off a shared base (the Database.Clone sharing pattern) — against
+// net insert/delete deltas pushed with Apply, divergent chains off a shared
+// base (the Database.Clone sharing pattern) — against
 // the sort-the-slice model in lockstep.
 func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 	s := ordPropSchema()
@@ -155,7 +156,7 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 				})
 				if rng.Intn(3) == 0 && len(gens) < 6 {
 					// Divergent chain: keep the predecessor generation alive
-					// too, sharing layers/base with the successor.
+					// too, sharing frozen nodes with the successor.
 					gens = append(gens, &gen{x: next, m: nm})
 				} else {
 					g.x, g.m = next, nm
@@ -173,10 +174,11 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 	}
 }
 
-// TestOrderedCompactionAmortization pins the layering bounds: pushing many
-// small deltas must keep Depth bounded by the compaction thresholds, and a
-// compacted index must answer exactly like the layered one.
-func TestOrderedCompactionAmortization(t *testing.T) {
+// TestOrderedApplyKeepsTreeInvariants pushes many small deltas — inserts
+// that split leaves, then oldest-first deletes that underflow and merge them
+// — checking the tree invariants after every commit and the answers against
+// the model along the way.
+func TestOrderedApplyKeepsTreeInvariants(t *testing.T) {
 	s := ordPropSchema()
 	base := relation.New(s)
 	for i := 0; i < 64; i++ {
@@ -189,22 +191,19 @@ func TestOrderedCompactionAmortization(t *testing.T) {
 		return nil
 	})
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
+	var added []relation.Tuple
+	for i := 0; i < 400; i++ {
 		tu := relation.Tuple{value.String(fmt.Sprintf("t%02d", rng.Intn(4))), value.Int(int64(1000 + i))}
 		x = x.Apply(relation.MustFromTuples(s, tu), nil)
 		m.tuples[tu.Key()] = tu
-		if x.Depth() > maxDepth {
-			t.Fatalf("step %d: depth %d exceeds maxDepth %d", i, x.Depth(), maxDepth)
-		}
+		added = append(added, tu)
+		checkTree(t, x.t, x.appendKey)
 	}
 	verifyOrdered(t, x, m, rng)
-	if x.Depth() != 0 {
-		// Force one more compaction by exceeding the layered budget.
-		for i := 0; x.Depth() != 0 && i < maxDepth+1; i++ {
-			tu := relation.Tuple{value.String("zz"), value.Int(int64(5000 + i))}
-			x = x.Apply(relation.MustFromTuples(s, tu), nil)
-			m.tuples[tu.Key()] = tu
-		}
+	for _, tu := range added {
+		x = x.Apply(nil, relation.MustFromTuples(s, tu))
+		delete(m.tuples, tu.Key())
+		checkTree(t, x.t, x.appendKey)
 	}
 	verifyOrdered(t, x, m, rng)
 }

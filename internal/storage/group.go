@@ -243,7 +243,6 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 	var derived map[string]*index.Set
 	var recIns, recDel map[string]*relation.Relation
 	epochWrites := make(map[string]bool, len(agg))
-	maxDepth, anyIdx := 0, false
 	for name, a := range agg {
 		sh := d.shards[a.home]
 		baseIdx := sh.latestIdx[name]
@@ -256,7 +255,6 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 			inst = a.inst.Seal()
 			if baseIdx.Len() > 0 {
 				set = baseIdx.Rebuild(inst)
-				met.idxCompactions.Inc() // a rebuild is a full compaction
 			}
 		} else {
 			base := sh.latest[name]
@@ -278,11 +276,7 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 			}
 			inst = succ.Seal()
 			if baseIdx.Len() > 0 {
-				var nc int
-				set, nc = baseIdx.ApplyN(a.ins, a.del)
-				if nc > 0 {
-					met.idxCompactions.Add(uint64(nc))
-				}
+				set = baseIdx.Apply(a.ins, a.del)
 			}
 			if a.ins != nil {
 				if recIns == nil {
@@ -303,17 +297,8 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 				derived = make(map[string]*index.Set, len(agg))
 			}
 			derived[name] = set
-			if met.idxMaxDepth != nil {
-				anyIdx = true
-				if dep := set.MaxDepth(); dep > maxDepth {
-					maxDepth = dep
-				}
-			}
 		}
 		epochWrites[name] = true
-	}
-	if anyIdx {
-		met.idxMaxDepth.Set(int64(maxDepth))
 	}
 	if met.stageDerive != nil {
 		met.stageDerive.Observe(uint64(time.Since(tDerive)))

@@ -28,9 +28,6 @@ type storeMetrics struct {
 	stagePublish  *obs.Histogram // stage P: order wait + snapshot swap
 	inflight      *obs.Gauge     // epochs derived but not yet published
 
-	idxCompactions *obs.Counter
-	idxMaxDepth    *obs.Gauge
-
 	ckptRuns    *obs.Counter
 	ckptFull    *obs.Counter
 	ckptSeconds *obs.Histogram
@@ -61,8 +58,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	m.stageWAL = reg.Histogram("repro_storage_stage_wal_seconds")
 	m.stagePublish = reg.Histogram("repro_storage_stage_publish_seconds")
 	m.inflight = reg.Gauge("repro_storage_pipeline_inflight_epochs")
-	m.idxCompactions = reg.Counter("repro_index_compactions_total")
-	m.idxMaxDepth = reg.Gauge("repro_index_max_depth")
 	m.ckptRuns = reg.Counter("repro_checkpoint_runs_total")
 	m.ckptFull = reg.Counter("repro_checkpoint_full_total")
 	m.ckptSeconds = reg.Histogram("repro_checkpoint_seconds")
